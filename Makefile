@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race check bench bench-kernels parity chaos pool wire prefixcache brownout
+.PHONY: all build vet lint test test-short race check bench bench-gateway bench-kernels parity chaos pool wire prefixcache brownout
 
 all: check
 
@@ -33,6 +33,12 @@ check: build vet lint race prefixcache
 bench:
 	$(GO) run ./cmd/genie-bench
 
+# Gateway serving benchmark (BENCHMARK.json): the real serving stack
+# with backends in separate processes over loopback TCP, every
+# workload, one seed. Exits non-zero on any output-token mismatch.
+bench-gateway:
+	bash gatewaybench/run.sh --workload all --seed 1
+
 # Kernel microbenchmarks: tiled matmul vs the naive reference, softmax,
 # layernorm, gelu, and the end-to-end decode step (allocs/op tracks the
 # scratch arena's reuse rate).
@@ -45,10 +51,6 @@ bench-kernels:
 parity:
 	$(GO) test -race -run 'Parity|GrainInvariance' ./internal/tensor/ops -count=1
 
-# Fault-tolerance suite under the race detector: deterministic chaos
-# injection, hung-peer deadlines, breaker trips, lineage failover, and
-# the kill-backend-mid-decode soak (bit-identical tokens after
-# recovery). GENIE_CHAOS_SEED pins the fault schedule when reproducing.
 # Sharded backend pool under the race detector: plan strategies, 2-way
 # parity vs local decode, voluntary leave and chaos crash mid-decode
 # (byte-identical completion), and the join/leave/join churn soak with
@@ -78,7 +80,7 @@ prefixcache:
 	$(GO) test -race -count=1 ./internal/models/ -run 'PrefillExtend'
 
 # Fail-slow tolerance suite under the race detector (DESIGN.md §13):
-# the health scorer's state machine and deadline math, brownout
+# the health state machine, peer groups and deadline math, brownout
 # schedule determinism (arming a brownout must not shift the seeded
 # fault stream), quarantine drain / suspect demotion in the serving
 # engine, health-weighted shard planning, hedged-prefill dedup and
@@ -92,8 +94,14 @@ brownout:
 	$(GO) test -race -count=1 ./internal/kvcache/ -run 'Hedge'
 	$(GO) test -race -count=1 ./internal/eval/ -run 'Brownout'
 
+# Fault-tolerance suite under the race detector: deterministic chaos
+# injection, hung-peer deadlines, the lane's consecutive-failure trip
+# and one-trial-per-dwell reinstatement, lineage failover, and the
+# kill-backend-mid-decode soak (bit-identical tokens after recovery).
+# GENIE_CHAOS_SEED pins the fault schedule when reproducing.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ -run .
-	$(GO) test -race -count=1 ./internal/transport/ -run 'Retry|Breaker|Chaos|Deadline|Dropped|Corrupt|Stall|Kill|Frame'
+	$(GO) test -race -count=1 ./internal/transport/ -run 'Retry|Chaos|Deadline|Dropped|Corrupt|Stall|Kill|Frame'
+	$(GO) test -race -count=1 ./internal/health/ -run 'Trip|Quarantine|Failure'
 	$(GO) test -race -count=1 ./internal/lineage/ -run 'Failover|KillBackend|Recover|Lost'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'Crash|Failover|HungPeer|RetryBudget|Breaker'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'Crash|Failover|HungPeer|RetryBudget|Trip|Trial'

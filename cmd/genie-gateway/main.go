@@ -98,10 +98,6 @@ func main() {
 		"Retry-After hint sent with 503 responses")
 	opTimeout := flag.Duration("op-timeout", 2*time.Second,
 		"per-RPC deadline on prefill/decode ops (0 = none; bounds hung-peer stalls)")
-	breakerThreshold := flag.Int("breaker-threshold", 3,
-		"consecutive backend failures that open a lane's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", time.Second,
-		"open-breaker cooldown before a half-open probe")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	kernelWorkers := flag.Int("kernel-workers", 0,
 		"CPU kernel worker-pool width (0 = GOMAXPROCS or GENIE_KERNEL_WORKERS, 1 = serial)")
@@ -413,8 +409,6 @@ func main() {
 		RetryBudget:      budget,
 		RetryAfter:       *retryAfter,
 		OpTimeout:        *opTimeout,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
 		Tracer:           tracer,
 		Metrics:          reg,
 		PoolStats:        poolStats,

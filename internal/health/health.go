@@ -1,44 +1,49 @@
-// Package health is the fail-slow complement to transport's circuit
-// breaker (DESIGN.md §13). The breaker answers a binary question — is
-// this endpoint failing? — which misses the dominant production failure
-// mode in disaggregated pools: a lane that is alive, answering every
-// call, and 50× slower than its peers. Such a lane never trips anything
-// yet poisons continuous batching (its decode steps pace the batch),
-// split-prefill TTFT (the prefill wedges on it), and pool-sharded
-// decode (every step waits for the slowest shard).
+// Package health is the lane-health state machine (DESIGN.md §13): one
+// graded model for endpoints that fail outright (fail-stop) and for
+// endpoints that stay alive but slow down (fail-slow). A slow lane
+// answers every call and returns no error, yet it poisons continuous
+// batching (its decode steps pace the batch), split-prefill TTFT (the
+// prefill wedges on it), and pool-sharded decode (every step waits for
+// the slowest shard).
 //
-// A Set tracks one Tracker per endpoint. Trackers fold two signal
-// families the serving layer already produces — per-operation latency
-// (EWMA + an exact-percentile window reused from internal/obs) and
-// error rate (an error EWMA over the breaker's failure classification)
-// — plus lightweight active probes issued on idle lanes. Sickness is
-// *relative*: a lane is slow compared to the best EWMA across its set,
-// not against an absolute threshold, so the scorer needs no tuning per
-// model or per hardware tier.
+// A Set tracks one Tracker per endpoint. Each tracker belongs to a peer
+// group, named by the layer that feeds it (serve lanes, pool members,
+// split prefill lanes), because only trackers fed the same kind of
+// operation can be compared: a whole prefill is not slow next to one
+// pipeline segment. Trackers fold per-operation latency (EWMA + an
+// exact-percentile window reused from internal/obs), error rate (an
+// error EWMA over Failure's classification) and lightweight active
+// probes issued on idle lanes. Sickness is *relative*: a tracker is slow
+// compared to the best EWMA among its peers, not against an absolute
+// threshold, so the scorer needs no tuning per model or per hardware
+// tier. A lone member of a group is never judged on latency.
 //
-// The judgment is a graded state machine rather than open/closed:
+// The judgment is a graded state machine:
 //
 //	Healthy ──(latency ratio or error rate past suspect bounds)──▶ Suspect
 //	Suspect ──(past quarantine bounds)──▶ Quarantined
 //	Suspect ──(recovered)──▶ Healthy
-//	Quarantined ──(cooldown elapsed)──▶ Reinstating
+//	Healthy/Suspect ──(Quarantine: the caller's consecutive-failure trip)──▶ Quarantined
+//	Quarantined ──(dwell elapsed)──▶ Reinstating
 //	Reinstating ──(ReinstateStreak consecutive successes)──▶ Healthy
-//	Reinstating ──(any counted failure)──▶ Quarantined
+//	Reinstating ──(any counted failure)──▶ Quarantined, for the same dwell
 //
 // Suspect demotes (the lane admits work only when healthy lanes are
 // saturated); Quarantined drains (active requests re-queue through the
-// existing lineage-failover path, so no state is lost); Reinstating
-// trickles one trial request at a time. Quarantine differs from
-// breaker-open on purpose: the breaker's open state means calls *fail*
-// and fast-fails them; quarantine means calls *succeed too slowly* to
-// be worth issuing, while probes keep measuring the endpoint.
+// existing lineage-failover path, so no state is lost) and ignores
+// observations, so an operation admitted before the quarantine can
+// neither reinstate nor extend it; Reinstating trickles one trial
+// request at a time.
 package health
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"time"
 
 	"genie/internal/obs"
+	"genie/internal/transport"
 )
 
 // State is an endpoint's graded health position.
@@ -85,8 +90,8 @@ type Config struct {
 	// reports Healthy and score 1.
 	MinSamples int
 	// SuspectFactor and QuarantineFactor are the latency-ratio
-	// thresholds: a lane whose EWMA exceeds factor × the set baseline
-	// (best member EWMA) becomes Suspect (default 3) or Quarantined
+	// thresholds: a lane whose EWMA exceeds factor × its peers' baseline
+	// (the best peer's EWMA) becomes Suspect (default 3) or Quarantined
 	// (default 8). Hysteresis comes from the gap between them and from
 	// the EWMA itself.
 	SuspectFactor    float64
@@ -95,15 +100,16 @@ type Config struct {
 	// thresholds (defaults 0.1 and 0.5).
 	SuspectErrRate    float64
 	QuarantineErrRate float64
-	// Cooldown is the quarantine dwell before an endpoint is offered
-	// reinstatement (default 2s).
+	// Cooldown is the dwell of a quarantine the scorer itself decides
+	// before the endpoint is offered reinstatement (default 2s). A
+	// caller's trip (Tracker.Quarantine) names its own dwell.
 	Cooldown time.Duration
 	// ReinstateStreak is how many consecutive successes a Reinstating
 	// endpoint needs to be Healthy again (default 3).
 	ReinstateStreak int
 	// ProbeInterval paces active probes on idle lanes (default 250ms).
 	ProbeInterval time.Duration
-	// HedgeFactor scales the set baseline EWMA into the hedged-prefill
+	// HedgeFactor scales a group's baseline EWMA into the hedged-prefill
 	// deadline (default 4).
 	HedgeFactor float64
 	// DeadlineFactor scales the best healthy member's worst observed
@@ -164,8 +170,22 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Set scores a group of endpoints against each other. All methods are
-// safe for concurrent use.
+// Failure reports whether err counts against the endpoint that returned
+// it. It is the one failure rule for every tracker and for the serving
+// lane's consecutive-failure trip: availability failures (timeouts,
+// closed or reset conns), server-side state loss, and protocol
+// violations count. An application-level RemoteError proves the
+// endpoint alive, and caller-side cancellation says nothing about it;
+// neither counts.
+func Failure(err error) bool {
+	if err == nil || errors.Is(err, context.Canceled) {
+		return false
+	}
+	return transport.Retryable(err) || transport.IsStateLoss(err) || transport.IsFrameError(err)
+}
+
+// Set scores endpoints against their peers. All methods are safe for
+// concurrent use.
 type Set struct {
 	cfg Config
 
@@ -180,16 +200,19 @@ func NewSet(cfg Config) *Set {
 	return &Set{cfg: cfg, members: make(map[string]*Tracker)}
 }
 
-// Endpoint returns (creating on first use) the tracker for name.
-func (s *Set) Endpoint(name string) *Tracker {
+// Endpoint returns (creating on first use) the tracker for name in peer
+// group group. Names are unique across the set: a name stays in the
+// group it was first registered in.
+func (s *Set) Endpoint(group, name string) *Tracker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.members[name]; ok {
 		return t
 	}
 	t := &Tracker{
-		set:  s,
-		name: name,
+		set:   s,
+		name:  name,
+		group: group,
 		// A probe is due after ProbeInterval of idleness, not at first
 		// sight: a fresh lane blocking in a ping exactly when traffic
 		// arrives would trade its first admissions for a liveness fact
@@ -214,13 +237,18 @@ func (s *Set) Endpoint(name string) *Tracker {
 	return t
 }
 
-// baselineEwma is the set-wide reference latency: the smallest member
-// EWMA with enough samples. Zero when no member has converged yet.
-func (s *Set) baselineEwma() float64 {
+// baselineEwma is group's reference latency: the smallest EWMA among
+// its members with enough samples, leaving out skip (a tracker is
+// judged against its peers, not itself). Zero when no such member has
+// converged yet.
+func (s *Set) baselineEwma(group string, skip *Tracker) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	best := 0.0
 	for _, t := range s.members {
+		if t.group != group || t == skip {
+			continue
+		}
 		t.mu.Lock()
 		ok := t.samples >= s.cfg.MinSamples
 		e := t.ewma
@@ -232,12 +260,12 @@ func (s *Set) baselineEwma() float64 {
 	return best
 }
 
-// HedgeDeadline derives the hedged-prefill trigger from the set
+// HedgeDeadline derives the hedged-prefill trigger from group's
 // baseline: HedgeFactor × the best member EWMA, never below floor.
 // Until a baseline exists the floor alone applies (a zero floor then
 // disables hedging for the call).
-func (s *Set) HedgeDeadline(floor time.Duration) time.Duration {
-	base := s.baselineEwma()
+func (s *Set) HedgeDeadline(group string, floor time.Duration) time.Duration {
+	base := s.baselineEwma(group, nil)
 	d := time.Duration(s.cfg.HedgeFactor * base)
 	if d < floor {
 		d = floor
@@ -246,20 +274,22 @@ func (s *Set) HedgeDeadline(floor time.Duration) time.Duration {
 }
 
 // OpDeadline derives the adaptive per-operation deadline that converts
-// fail-slow into fail-stop: DeadlineFactor × the best healthy member's
-// worst observed latency (min-of-max — the best lane's worst case
-// covers legitimate outliers like long-prompt prefills), clamped to
-// [floor, cap]. Zero cap means uncapped; until any healthy member has
+// fail-slow into fail-stop: DeadlineFactor × the best healthy member of
+// group's worst observed latency (min-of-max — the best lane's worst
+// case covers legitimate outliers like long-prompt prefills), clamped
+// to [floor, cap]. Zero cap means uncapped; until any healthy member has
 // samples the result is the cap (no adaptive bound yet).
-func (s *Set) OpDeadline(floor, cap time.Duration) time.Duration {
+func (s *Set) OpDeadline(group string, floor, cap time.Duration) time.Duration {
 	s.mu.Lock()
-	members := make([]*Tracker, 0, len(s.members))
+	peers := make([]*Tracker, 0, len(s.members))
 	for _, t := range s.members {
-		members = append(members, t)
+		if t.group == group {
+			peers = append(peers, t)
+		}
 	}
 	s.mu.Unlock()
 	best := time.Duration(0)
-	for _, t := range members {
+	for _, t := range peers {
 		if st := t.State(); st != Healthy {
 			continue
 		}
@@ -285,7 +315,9 @@ func (s *Set) OpDeadline(floor, cap time.Duration) time.Duration {
 }
 
 // Healthiest ranks the named endpoints by score (best first), breaking
-// ties by name for determinism. Unknown names rank last with score 1.
+// ties by name for determinism. Scores are relative to each tracker's
+// own peers, so the names should share a group. Unknown names rank
+// with score 1.
 func (s *Set) Healthiest(names []string) []string {
 	type scored struct {
 		name  string
@@ -352,16 +384,18 @@ func (s *Set) Snapshot() map[string]EndpointHealth {
 
 // Tracker scores one endpoint. Obtain via Set.Endpoint.
 type Tracker struct {
-	set  *Set
-	name string
+	set   *Set
+	name  string
+	group string
 
 	mu        sync.Mutex
 	state     State
 	ewma      float64 // nanoseconds
 	errEwma   float64
 	samples   int
-	okStreak  int       // consecutive successes while Reinstating
-	until     time.Time // quarantine dwell expiry
+	okStreak  int           // consecutive successes while Reinstating
+	dwell     time.Duration // length of the current (or last) quarantine
+	until     time.Time     // quarantine dwell expiry
 	lastProbe time.Time
 	transits  int64
 
@@ -377,68 +411,84 @@ type Tracker struct {
 func (t *Tracker) Name() string { return t.name }
 
 // Observe folds one completed operation into the score: its latency
-// into the EWMA and percentile window, its outcome into the error
-// EWMA, then re-evaluates the state machine. failed should carry the
-// breaker's failure classification (an application-level remote error
-// proves the endpoint alive and healthy-fast).
-func (t *Tracker) Observe(d time.Duration, failed bool) {
-	t.window.Observe(d)
-	base := t.set.baselineEwma()
-	alpha := t.set.cfg.Alpha
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.samples++
-	if t.ewma == 0 {
-		t.ewma = float64(d)
-	} else {
-		t.ewma = alpha*float64(d) + (1-alpha)*t.ewma
-	}
-	e := 0.0
-	if failed {
-		e = 1.0
-	}
-	t.errEwma = alpha*e + (1-alpha)*t.errEwma
-	t.evaluate(base, failed)
-	t.scoreGauge.Set(int64(1000 * t.scoreLocked(base)))
-}
+// into the EWMA and percentile window, its outcome (classified by
+// Failure) into the error EWMA, then re-evaluates the state machine. A
+// cancelled operation measures the caller's patience, not the endpoint,
+// and is ignored.
+func (t *Tracker) Observe(d time.Duration, err error) { t.observe(d, true, err) }
 
 // ObserveProbe folds one active-probe outcome into the score. A probe
 // round trip is a ping, not an exec — microseconds against the EWMA's
-// milliseconds — so its latency is deliberately NOT folded into the
-// latency EWMA or window (an idle fleet's probe stream would otherwise
-// drag the set baseline toward ping RTT and make every working lane
-// look slow). Probes feed the error EWMA, the state machine (including
-// the reinstatement streak), and the probe counter.
-func (t *Tracker) ObserveProbe(_ time.Duration, failed bool) {
+// milliseconds — so it carries no latency (an idle fleet's probe stream
+// would otherwise drag the baseline toward ping RTT and make every
+// working lane look slow). Probes feed the error EWMA, the state
+// machine (including the reinstatement streak), and the probe counter.
+func (t *Tracker) ObserveProbe(err error) {
 	t.probes.Inc()
-	base := t.set.baselineEwma()
-	alpha := t.set.cfg.Alpha
+	t.observe(0, false, err)
+}
+
+func (t *Tracker) observe(d time.Duration, timed bool, err error) {
+	if errors.Is(err, context.Canceled) {
+		return
+	}
+	failed := Failure(err)
+	base := t.set.baselineEwma(t.group, t)
+	cfg := &t.set.cfg
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := cfg.Now()
+	t.reapLocked(now)
+	if t.state == Quarantined {
+		return // only the dwell timer (reapLocked) moves it
+	}
+	if timed {
+		t.window.Observe(d)
+		t.samples++
+		if t.ewma == 0 {
+			t.ewma = float64(d)
+		} else {
+			t.ewma = cfg.Alpha*float64(d) + (1-cfg.Alpha)*t.ewma
+		}
+	}
 	e := 0.0
 	if failed {
 		e = 1.0
 	}
-	t.errEwma = alpha*e + (1-alpha)*t.errEwma
-	t.evaluate(base, failed)
+	t.errEwma = cfg.Alpha*e + (1-cfg.Alpha)*t.errEwma
+	t.evaluate(now, base, failed)
 	t.scoreGauge.Set(int64(1000 * t.scoreLocked(base)))
 }
 
-// evaluate runs the state machine; callers hold t.mu. base is the set
-// baseline EWMA (0 = no baseline yet).
-func (t *Tracker) evaluate(base float64, failed bool) {
+// Quarantine trips the tracker at once, bypassing the MinSamples
+// evidence gate: the fail-stop path, for a caller that has counted
+// consecutive failures. The dwell is remembered, so a failed
+// reinstatement trial re-quarantines for the same dwell. An already
+// Quarantined tracker keeps its current dwell.
+func (t *Tracker) Quarantine(dwell time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	now := t.set.cfg.Now()
 	t.reapLocked(now)
-	switch t.state {
-	case Reinstating:
+	if t.state == Quarantined {
+		return
+	}
+	t.quarantineLocked(now, dwell)
+	t.scoreGauge.Set(0)
+}
+
+// evaluate runs the state machine on a Healthy, Suspect or Reinstating
+// tracker; callers hold t.mu. base is the peers' baseline EWMA (0 = no
+// baseline yet).
+func (t *Tracker) evaluate(now time.Time, base float64, failed bool) {
+	cfg := &t.set.cfg
+	if t.state == Reinstating {
 		if failed {
-			t.toState(Quarantined)
-			t.until = now.Add(t.set.cfg.Cooldown)
-			t.okStreak = 0
+			t.quarantineLocked(now, t.dwell)
 			return
 		}
 		t.okStreak++
-		if t.okStreak >= t.set.cfg.ReinstateStreak {
+		if t.okStreak >= cfg.ReinstateStreak {
 			// Forget the sick-era latency: the streak's samples are the
 			// endpoint's new reality, and a stale 50×-inflated EWMA would
 			// re-quarantine a recovered lane on its first judged call.
@@ -449,32 +499,33 @@ func (t *Tracker) evaluate(base float64, failed bool) {
 			t.toState(Healthy)
 		}
 		return
-	case Quarantined:
-		return // only the dwell timer (reapLocked) moves it
 	}
 	// Healthy / Suspect: judge by error rate first (absolute), then by
-	// latency ratio against the set baseline (relative).
-	if t.samples < t.set.cfg.MinSamples {
+	// latency ratio against the peers' baseline (relative).
+	if t.samples < cfg.MinSamples {
 		return
 	}
-	cfg := t.set.cfg
 	ratio := 0.0
 	if base > 0 {
 		ratio = t.ewma / base
 	}
 	switch {
 	case t.errEwma >= cfg.QuarantineErrRate || ratio >= cfg.QuarantineFactor:
-		t.toState(Quarantined)
-		t.until = now.Add(cfg.Cooldown)
+		t.quarantineLocked(now, cfg.Cooldown)
 	case t.errEwma >= cfg.SuspectErrRate || ratio >= cfg.SuspectFactor:
-		if t.state != Suspect {
-			t.toState(Suspect)
-		}
+		t.toState(Suspect)
 	default:
-		if t.state != Healthy {
-			t.toState(Healthy)
-		}
+		t.toState(Healthy)
 	}
+}
+
+// quarantineLocked starts a quarantine of the given dwell; callers hold
+// t.mu.
+func (t *Tracker) quarantineLocked(now time.Time, dwell time.Duration) {
+	t.toState(Quarantined)
+	t.dwell = dwell
+	t.until = now.Add(dwell)
+	t.okStreak = 0
 }
 
 // reapLocked moves an expired quarantine to Reinstating; callers hold
@@ -494,9 +545,7 @@ func (t *Tracker) toState(s State) {
 	t.state = s
 	t.transits++
 	t.stateGauge.Set(int64(s))
-	if c := t.transitions[s]; c != nil {
-		c.Inc()
-	}
+	t.transitions[s].Inc()
 }
 
 // State returns the current grade, applying the quarantine dwell timer.
@@ -508,11 +557,11 @@ func (t *Tracker) State() State {
 }
 
 // Score is the endpoint's composite health in (0,1]: the latency ratio
-// against the set baseline (clamped to ≤1) damped by the error rate. A
-// tracker without enough samples scores 1; a Quarantined tracker
+// against the peers' baseline (clamped to ≤1) damped by the error rate.
+// A tracker without enough samples scores 1; a Quarantined tracker
 // scores 0.
 func (t *Tracker) Score() float64 {
-	base := t.set.baselineEwma()
+	base := t.set.baselineEwma(t.group, t)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.reapLocked(t.set.cfg.Now())
@@ -536,41 +585,48 @@ func (t *Tracker) scoreLocked(base float64) float64 {
 
 // ProbeDue reports whether an idle-lane active probe should fire now,
 // and if so claims the probe slot (callers that get true must probe and
-// report via ObserveProbe). Quarantined endpoints stay probed — the
-// probe stream is what lets Reinstating judge recovery.
+// report via ObserveProbe). A Quarantined endpoint is not probed: it
+// ignores outcomes until its dwell ends.
 func (t *Tracker) ProbeDue() bool {
 	now := t.set.cfg.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if now.Sub(t.lastProbe) < t.set.cfg.ProbeInterval {
+	t.reapLocked(now)
+	if t.state == Quarantined || now.Sub(t.lastProbe) < t.set.cfg.ProbeInterval {
 		return false
 	}
 	t.lastProbe = now
 	return true
 }
 
-// ProbeWait returns how long until the next probe is due (minimum 1ms
-// so an idle loop never spins).
-func (t *Tracker) ProbeWait() time.Duration {
+// Wake returns how long an idle caller may sleep before the tracker
+// needs it again: until the quarantine dwell ends or, for a caller that
+// probes, until the next probe is due. Zero means no timed wake is
+// needed; otherwise the result is at least 1ms so an idle loop never
+// spins.
+func (t *Tracker) Wake(probing bool) time.Duration {
 	now := t.set.cfg.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.set.cfg.ProbeInterval - now.Sub(t.lastProbe)
-	if w < time.Millisecond {
-		w = time.Millisecond
+	t.reapLocked(now)
+	var wait time.Duration
+	switch {
+	case t.state == Quarantined:
+		wait = t.until.Sub(now)
+	case probing:
+		wait = t.set.cfg.ProbeInterval - now.Sub(t.lastProbe)
+	default:
+		return 0
 	}
-	return w
-}
-
-// Quantile reads one exact quantile from the latency window.
-func (t *Tracker) Quantile(q float64) time.Duration {
-	out, _ := t.window.Quantiles(q)
-	return out[0]
+	if wait < time.Millisecond {
+		wait = time.Millisecond
+	}
+	return wait
 }
 
 // snapshot builds the /stats view.
 func (t *Tracker) snapshot() EndpointHealth {
-	base := t.set.baselineEwma()
+	base := t.set.baselineEwma(t.group, t)
 	qs, _ := t.window.Quantiles(0.50, 0.99)
 	t.mu.Lock()
 	defer t.mu.Unlock()

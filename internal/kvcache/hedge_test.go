@@ -1,8 +1,10 @@
 package kvcache
 
 import (
+	"context"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,12 +26,43 @@ func livePins(m *Manager) int {
 	return len(m.pins)
 }
 
+// gatedLane holds a lane's prefill execs until open closes, so a
+// primary cannot answer before the hedge launches its backup.
+type gatedLane struct {
+	*transport.Client
+	open <-chan struct{}
+}
+
+func (g gatedLane) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return g.Client.ExecCtx(ctx, x)
+}
+
+// openingLane closes open when its first prefill exec starts.
+type openingLane struct {
+	*transport.Client
+	once *sync.Once
+	open chan struct{}
+}
+
+func (o openingLane) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
+	o.once.Do(func() { close(o.open) })
+	return o.Client.ExecCtx(ctx, x)
+}
+
 // TestHedgedPrefillDedup forces every prefill to hedge (a nanosecond
 // deadline) so two lanes race each request, and checks the invariants
 // the race must not break: tokens bit-identical to the local baseline,
 // exactly one winner's KV inserted (cache accounting identical to an
 // unhedged run), no pinned pages left behind, and no goroutine leaked —
-// whether the loser finished or was cancelled in flight.
+// whether the loser finished or was cancelled in flight. Lane a, the
+// primary, is gated on lane b's first exec, so the race is real on
+// every run rather than won by whichever of timer and primary the
+// scheduler picks.
 func TestHedgedPrefillDedup(t *testing.T) {
 	snap := metrics.SnapGoroutines()
 
@@ -57,6 +90,7 @@ func TestHedgedPrefillDedup(t *testing.T) {
 
 	laneA, laneB := startPipeBackend(t), startPipeBackend(t)
 	decodeBE := startPipeBackend(t)
+	backupStarted := make(chan struct{})
 	mgr, err := NewManager(Config{Model: model, BudgetBytes: 1 << 20, PageTokens: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +100,8 @@ func TestHedgedPrefillDedup(t *testing.T) {
 		Decode: decodeBE.cli,
 		Cache:  mgr,
 		Lanes: []PrefillLane{
-			{Name: "a", EP: laneA.cli},
-			{Name: "b", EP: laneB.cli},
+			{Name: "a", EP: gatedLane{Client: laneA.cli, open: backupStarted}},
+			{Name: "b", EP: openingLane{Client: laneB.cli, once: new(sync.Once), open: backupStarted}},
 		},
 		HedgePrefill: true,
 		HedgeFloor:   time.Nanosecond, // hedge always fires: both lanes race

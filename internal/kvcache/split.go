@@ -2,7 +2,6 @@ package kvcache
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -53,12 +52,13 @@ type SplitConfig struct {
 	Lanes []PrefillLane
 	// Health, when set, ranks lanes per request, derives the adaptive
 	// hedge deadline, and is fed every prefill exec's latency/outcome —
-	// the same scorer the serving engine and pool consume.
+	// the same scorer the serving engine and pool consume, with the
+	// prefill lanes judged only against each other.
 	Health *health.Set
 	// HedgePrefill issues the prefill to a second lane when the first
 	// has not answered within the adaptive deadline; the first result
 	// wins, the loser is cancelled (deliberately poisoning its conn —
-	// the fail-slow lane becomes fail-stop and its breaker/health see
+	// the fail-slow lane becomes fail-stop and its health tracker sees
 	// it), and exactly one result reaches the prefix cache.
 	HedgePrefill bool
 	// HedgeFloor is the minimum wait before hedging (default 25ms); the
@@ -66,6 +66,10 @@ type SplitConfig struct {
 	// lane's EWMA) never drops below it.
 	HedgeFloor time.Duration
 }
+
+// healthPeers is the peer group prefill lanes register their trackers
+// in: a prefill exec is judged only against other prefill execs.
+const healthPeers = "prefill"
 
 // PrefillLane is one named member of the prefill pool.
 type PrefillLane struct {
@@ -180,8 +184,8 @@ func (sp *Split) execOnLane(ctx context.Context, ln PrefillLane, ex *transport.E
 	} else {
 		ok, err = ln.EP.Exec(ex)
 	}
-	if sp.cfg.Health != nil && !errors.Is(err, context.Canceled) {
-		sp.cfg.Health.Endpoint(ln.Name).Observe(time.Since(t0), err != nil)
+	if sp.cfg.Health != nil {
+		sp.cfg.Health.Endpoint(healthPeers, ln.Name).Observe(time.Since(t0), err)
 	}
 	return ok, err
 }
@@ -203,8 +207,8 @@ func (sp *Split) execPrefill(ctx context.Context, ex *transport.Exec) (*transpor
 // outright), the first success wins, and the loser's exec is cancelled
 // mid-flight. Cancellation poisons the loser's conn by design — that is
 // the fail-slow → fail-stop conversion: a browned-out lane that would
-// otherwise stay wedged now fails its next call fast and its breaker
-// and health score react. Both workers send to a buffered channel, so
+// otherwise stay wedged now fails its next call fast and its health
+// tracker reacts. Both workers send to a buffered channel, so
 // the loser always runs to completion and nothing leaks.
 func (sp *Split) hedgeExec(ctx context.Context, primary, backup PrefillLane, ex *transport.Exec) (*transport.ExecOK, error) {
 	if ctx == nil {
@@ -213,7 +217,7 @@ func (sp *Split) hedgeExec(ctx context.Context, primary, backup PrefillLane, ex 
 	}
 	deadline := sp.cfg.HedgeFloor
 	if sp.cfg.Health != nil {
-		deadline = sp.cfg.Health.HedgeDeadline(sp.cfg.HedgeFloor)
+		deadline = sp.cfg.Health.HedgeDeadline(healthPeers, sp.cfg.HedgeFloor)
 	}
 	type result struct {
 		ok     *transport.ExecOK

@@ -1,11 +1,15 @@
 package pool
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"genie/internal/device"
 	"genie/internal/health"
+	"genie/internal/srg"
+	"genie/internal/tensor"
+	"genie/internal/transport"
 )
 
 // TestPlanPrefersHealthyMembers: with both members able to hold the
@@ -86,12 +90,12 @@ func TestManagerCandidatesCarryHealth(t *testing.T) {
 
 	// Brown out "a": fast baseline on b, 50× samples on a.
 	for i := 0; i < 10; i++ {
-		hs.Endpoint("b").Observe(time.Millisecond, false)
+		hs.Endpoint(healthPeers, "b").Observe(time.Millisecond, nil)
 	}
-	for i := 0; i < 100 && hs.Endpoint("a").State() != health.Quarantined; i++ {
-		hs.Endpoint("a").Observe(50*time.Millisecond, false)
+	for i := 0; i < 100 && hs.Endpoint(healthPeers, "a").State() != health.Quarantined; i++ {
+		hs.Endpoint(healthPeers, "a").Observe(50*time.Millisecond, nil)
 	}
-	if hs.Endpoint("a").State() != health.Quarantined {
+	if hs.Endpoint(healthPeers, "a").State() != health.Quarantined {
 		t.Fatal("could not quarantine member a")
 	}
 
@@ -120,5 +124,44 @@ func TestManagerCandidatesCarryHealth(t *testing.T) {
 		if ms.Name == "b" && ms.Health != "healthy" {
 			t.Errorf("status for b = %+v, want healthy", ms)
 		}
+	}
+}
+
+// TestMemberRemoteErrorsKeepHealth: a member that answers with
+// application-level RemoteErrors is alive and fast; its segment execs
+// must not count as failures, so its health state and score hold.
+func TestMemberRemoteErrorsKeepHealth(t *testing.T) {
+	hs := health.NewSet(health.Config{})
+	mgr, err := NewManager(Config{Model: testGPT(), Health: hs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := newPoolBackend(nil)
+	defer pa.stop()
+	if err := mgr.Join("a", pa.ep, device.A100, testLink); err != nil {
+		t.Fatal(err)
+	}
+	pa.srv.SetExecHook(func(int64) error { return errors.New("injected rejection") })
+	for i := 0; i < 20; i++ {
+		_, err := mgr.execOn("a", reluExec())
+		if !transport.IsRemote(err) {
+			t.Fatalf("exec %d: err = %v, want a RemoteError", i, err)
+		}
+	}
+	tr := hs.Endpoint(healthPeers, "a")
+	if st, sc := tr.State(), tr.Score(); st != health.Healthy || sc != 1 {
+		t.Fatalf("member after remote errors: state %v score %v, want Healthy and 1", st, sc)
+	}
+}
+
+// reluExec is a minimal one-op exec request.
+func reluExec() *transport.Exec {
+	g := srg.New("remote-error-test")
+	in := g.MustAdd(&srg.Node{Op: "input", Ref: "x", Output: srg.TensorMeta{Shape: []int{2}}})
+	out := g.MustAdd(&srg.Node{Op: "relu", Inputs: []srg.NodeID{in}, Output: srg.TensorMeta{Shape: []int{2}}})
+	return &transport.Exec{
+		Graph: g,
+		Binds: []transport.Binding{{Ref: "x", Inline: tensor.FromF32(tensor.Shape{2}, []float32{-1, 2})}},
+		Want:  []srg.NodeID{out},
 	}
 }

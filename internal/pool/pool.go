@@ -34,7 +34,8 @@ type Config struct {
 	// disables health-aware placement). The pool both consumes it —
 	// candidate scores fold into the plan cost model, so rebuilds route
 	// layers away from browned-out members — and feeds it: every segment
-	// exec's latency and outcome is observed against the member.
+	// exec's latency and outcome is observed against the member, whose
+	// tracker is judged only against other pool members.
 	Health *health.Set
 	// RebalanceOnJoin re-places shards when a member joins, instead of
 	// keeping the newcomer as a hot spare. Re-placement only happens
@@ -329,7 +330,7 @@ func (m *Manager) candidates(skip string) []Candidate {
 		mem := m.members[name]
 		c := Candidate{Name: mem.name, Spec: mem.spec, Link: mem.link}
 		if m.cfg.Health != nil {
-			tr := m.cfg.Health.Endpoint(name)
+			tr := m.cfg.Health.Endpoint(healthPeers, name)
 			c.HealthScore = tr.Score()
 			c.Quarantined = tr.State() == health.Quarantined
 		}
@@ -672,6 +673,11 @@ func (m *Manager) Plan() *ShardPlan {
 	return m.plan
 }
 
+// healthPeers is the peer group pool members register their trackers
+// in: a member times single segments, so it is judged only against
+// other members.
+const healthPeers = "pool"
+
 // execOn dispatches one segment exec to a member through its tracked
 // endpoint, so binding epochs are corrected and provenance recorded.
 func (m *Manager) execOn(name string, x *transport.Exec) (*transport.ExecOK, error) {
@@ -684,7 +690,7 @@ func (m *Manager) execOn(name string, x *transport.Exec) (*transport.ExecOK, err
 	t0 := time.Now()
 	ok, err := mem.te.Exec(x)
 	if m.cfg.Health != nil {
-		m.cfg.Health.Endpoint(name).Observe(time.Since(t0), err != nil)
+		m.cfg.Health.Endpoint(healthPeers, name).Observe(time.Since(t0), err)
 	}
 	if err == nil {
 		m.segExecs.Inc()

@@ -85,7 +85,7 @@ func (m *Manager) Status() Status {
 		}
 		m.mu.Unlock()
 		if m.cfg.Health != nil {
-			tr := m.cfg.Health.Endpoint(name)
+			tr := m.cfg.Health.Endpoint(healthPeers, name)
 			ms.Health = tr.State().String()
 			ms.Score = tr.Score()
 		}

@@ -144,11 +144,11 @@ func TestBackendCrashRequeuesToHealthyLane(t *testing.T) {
 	if st.TokensOut != 5 {
 		t.Errorf("tokens_out = %d, want 5 (no double-count across replay)", st.TokensOut)
 	}
-	if bh := st.Backends["b0"]; bh.Healthy || bh.Breaker != "open" || bh.Requeued != 1 {
-		t.Errorf("b0 health = %+v, want open breaker with 1 requeue", bh)
+	if bh := st.Backends["b0"]; bh.Healthy || bh.Health != "quarantined" || bh.Requeued != 1 {
+		t.Errorf("b0 health = %+v, want tripped into quarantine with 1 requeue", bh)
 	}
-	if bh := st.Backends["b1"]; !bh.Healthy || bh.Breaker != "closed" {
-		t.Errorf("b1 health = %+v, want closed breaker", bh)
+	if bh := st.Backends["b1"]; !bh.Healthy || bh.Health != "healthy" {
+		t.Errorf("b1 health = %+v, want healthy", bh)
 	}
 
 	b0.stop()
@@ -174,7 +174,10 @@ func TestRetryBudgetExhaustedSheds503(t *testing.T) {
 		RetryBudget:      1,
 		RetryAfter:       2 * time.Second,
 		BreakerThreshold: 1,
-		BreakerCooldown:  time.Nanosecond, // probe immediately
+		// The re-queued request waits out the dwell, then trials the lane
+		// and fails again, re-quarantining it for another dwell: long
+		// enough that /healthz and /stats below still see it quarantined.
+		BreakerCooldown: 500 * time.Millisecond,
 	}, []Backend{{Name: "b0", Runner: b0.runner}})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +235,7 @@ func TestRetryBudgetExhaustedSheds503(t *testing.T) {
 
 // TestHungPeerFailsOverWithinOpTimeout is the wedged-engine regression:
 // b0's link silently swallows frames (a hung peer), the per-op timeout
-// rescues the lane within its bound, the breaker opens, and the request
+// rescues the lane within its bound, the lane trips, and the request
 // completes on the healthy lane with the exact fault-free tokens.
 func TestHungPeerFailsOverWithinOpTimeout(t *testing.T) {
 	snap := metrics.SnapGoroutines()
@@ -291,8 +294,8 @@ func TestHungPeerFailsOverWithinOpTimeout(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if bh := st.Backends["b0"]; bh.Healthy || bh.Breaker != "open" {
-		t.Errorf("b0 health = %+v, want open breaker after hang", bh)
+	if bh := st.Backends["b0"]; bh.Healthy || bh.Health != "quarantined" {
+		t.Errorf("b0 health = %+v, want tripped into quarantine after hang", bh)
 	}
 
 	b0.stop()
@@ -300,11 +303,10 @@ func TestHungPeerFailsOverWithinOpTimeout(t *testing.T) {
 	snap.Check(t)
 }
 
-// TestBreakerProbeRejoinsRepairedBackend: after a failover, repairing
-// the backend (reinstalling weights) and letting the cooldown lapse
-// lets the half-open probe succeed, closing the breaker and returning
-// the lane to service.
-func TestBreakerProbeRejoinsRepairedBackend(t *testing.T) {
+// TestQuarantineTrialRejoinsRepairedBackend: after a failover, repairing
+// the backend (reinstalling weights) and letting the trip's dwell lapse
+// lets the reinstatement trial succeed, returning the lane to service.
+func TestQuarantineTrialRejoinsRepairedBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	gpt := models.NewGPT(rng, models.TinyGPT)
 	want := refTokens(t, unitPrompt, 2)
@@ -344,9 +346,12 @@ func TestBreakerProbeRejoinsRepairedBackend(t *testing.T) {
 		t.Fatalf("first request did not fail over: %v", ar.err)
 	}
 
-	// Repair b0 (the crash wiped its weights), let the cooldown lapse,
-	// and probe with fresh traffic: the half-open probe must succeed and
-	// close the breaker.
+	if bh := e.Stats().Backends["b0"]; bh.Healthy || bh.Health != "quarantined" {
+		t.Fatalf("b0 health = %+v after the crash, want tripped into quarantine", bh)
+	}
+	// Repair b0 (the crash wiped its weights), let the dwell lapse, and
+	// trial it with fresh traffic: the trial must succeed and reinstate
+	// the lane.
 	if _, err := b0.runner.InstallModelWeights(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +364,17 @@ func TestBreakerProbeRejoinsRepairedBackend(t *testing.T) {
 		e.lanes[0].iterate()
 	}
 	if !isDone(ar2) || ar2.err != nil {
-		t.Fatalf("probe request did not complete on repaired lane: %v", ar2.err)
+		t.Fatalf("trial request did not complete on repaired lane: %v", ar2.err)
 	}
 	if ar2.res.Backend != "b0" {
-		t.Errorf("probe request finished on %q, want repaired b0", ar2.res.Backend)
+		t.Errorf("trial request finished on %q, want repaired b0", ar2.res.Backend)
 	}
 	for i := range want {
 		if ar2.res.Tokens[i] != want[i] {
 			t.Fatalf("repaired-lane tokens %v, want %v", ar2.res.Tokens, want)
 		}
 	}
-	if bh := e.Stats().Backends["b0"]; !bh.Healthy || bh.Breaker != "closed" {
-		t.Errorf("b0 health = %+v, want closed breaker after successful probe", bh)
+	if bh := e.Stats().Backends["b0"]; !bh.Healthy || bh.Health != "healthy" {
+		t.Errorf("b0 health = %+v, want healthy after a successful trial", bh)
 	}
 }

@@ -43,7 +43,7 @@ func healthTestEngine(t *testing.T) (*Engine, *servedBackend, *servedBackend, *h
 func sicken(t *testing.T, tr *health.Tracker, d time.Duration, want health.State) {
 	t.Helper()
 	for i := 0; i < 100 && tr.State() != want; i++ {
-		tr.Observe(d, false)
+		tr.Observe(d, nil)
 	}
 	if tr.State() != want {
 		t.Fatalf("tracker stuck at %v, want %v", tr.State(), want)
@@ -62,7 +62,7 @@ func TestQuarantinedLaneDrainsWithoutStateLoss(t *testing.T) {
 
 	// Establish the baseline: b1 fast, then request lands on b0.
 	for i := 0; i < 10; i++ {
-		hs.Endpoint("b1").Observe(time.Millisecond, false)
+		hs.Endpoint(healthPeers, "b1").Observe(time.Millisecond, nil)
 	}
 	var emitted []int
 	ar, err := e.enqueue(context.Background(), Request{
@@ -78,7 +78,7 @@ func TestQuarantinedLaneDrainsWithoutStateLoss(t *testing.T) {
 	}
 
 	// b0 browns out: 50× the baseline quarantines it.
-	sicken(t, hs.Endpoint("b0"), 50*time.Millisecond, health.Quarantined)
+	sicken(t, hs.Endpoint(healthPeers, "b0"), 50*time.Millisecond, health.Quarantined)
 
 	// The next step boundary drains b0's batch back to the queue.
 	if !e.lanes[0].iterate() {
@@ -145,10 +145,10 @@ func TestSuspectLaneYieldsToHealthy(t *testing.T) {
 	defer b1.stop()
 
 	for i := 0; i < 10; i++ {
-		hs.Endpoint("b1").Observe(time.Millisecond, false)
+		hs.Endpoint(healthPeers, "b1").Observe(time.Millisecond, nil)
 	}
 	// 4× the baseline: Suspect, not Quarantined.
-	sicken(t, hs.Endpoint("b0"), 4*time.Millisecond, health.Suspect)
+	sicken(t, hs.Endpoint(healthPeers, "b0"), 4*time.Millisecond, health.Suspect)
 
 	ar, err := e.enqueue(context.Background(), Request{Tenant: "a", Prompt: unitPrompt, MaxTokens: 2})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestSuspectLaneYieldsToHealthy(t *testing.T) {
 
 	// Saturate b1 (its tracker stops being Healthy): the suspect lane
 	// becomes admissible again as overflow.
-	sicken(t, hs.Endpoint("b1"), 50*time.Millisecond, health.Quarantined)
+	sicken(t, hs.Endpoint(healthPeers, "b1"), 50*time.Millisecond, health.Quarantined)
 	ar2, err := e.enqueue(context.Background(), Request{Tenant: "a", Prompt: unitPrompt, MaxTokens: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +210,9 @@ func TestHealthzDegradedReportsQuarantine(t *testing.T) {
 	}
 
 	for i := 0; i < 10; i++ {
-		hs.Endpoint("b1").Observe(time.Millisecond, false)
+		hs.Endpoint(healthPeers, "b1").Observe(time.Millisecond, nil)
 	}
-	sicken(t, hs.Endpoint("b0"), 50*time.Millisecond, health.Quarantined)
+	sicken(t, hs.Endpoint(healthPeers, "b0"), 50*time.Millisecond, health.Quarantined)
 
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -22,27 +22,26 @@ import (
 // finished requests leave, queued requests join (prefill), and every
 // active request advances exactly one decode step.
 //
-// Every lane carries a circuit breaker for its endpoint: consecutive
-// transport-level failures open it, an open lane stops pulling from the
-// queue (its requests re-queue to healthy lanes), and after the
-// cooldown a single probe request decides whether it rejoins.
-//
-// With Config.Health set a lane additionally carries a fail-slow
-// tracker: per-op latencies and failures feed it, a Suspect lane
-// demotes itself (admitting only when healthy capacity is saturated),
-// a Quarantined lane drains its batch back to the queue through the
-// ordinary failover path, a Reinstating lane trials one request at a
-// time, and an idle lane pings its endpoint so recovery is observed
+// Every lane carries one health tracker for its endpoint (DESIGN.md
+// §13), its only admission state. Per-op latencies and failures feed
+// it; Config.BreakerThreshold consecutive failures quarantine it at
+// once (the fail-stop trip). A Suspect lane demotes itself (admitting
+// only when healthy capacity is saturated), a Quarantined lane drains
+// its batch back to the queue through the ordinary failover path, and
+// a Reinstating lane trials one request at a time. With Config.Health
+// set an idle lane also pings its endpoint, so recovery is observed
 // without risking real traffic.
 type lane struct {
 	e       *Engine
 	name    string
 	runner  *runtime.LLMRunner
-	breaker *transport.Breaker
 	tracker *health.Tracker
 	active  []*activeReq
 	activeN atomic.Int32
 	wake    chan struct{}
+	// fails counts consecutive counted failures toward the trip; owned
+	// by the lane goroutine.
+	fails int
 
 	// failures counts backend-loss errors observed on this lane;
 	// requeues counts requests this lane handed back to the queue. Both
@@ -51,28 +50,14 @@ type lane struct {
 	requeues atomic.Int64
 }
 
-func newLane(e *Engine, name string, r *runtime.LLMRunner) *lane {
-	l := &lane{e: e, name: name, runner: r, wake: make(chan struct{}, 1)}
-	l.breaker = transport.NewBreaker(transport.BreakerConfig{
-		Threshold: e.cfg.BreakerThreshold,
-		Cooldown:  e.cfg.BreakerCooldown,
-		Now:       e.clock.Now,
-		// The default classifier ignores remote errors (an application
-		// error doesn't mean the backend is down), but serving lanes must
-		// also trip on server-side state loss — a crashed backend answers
-		// politely while having lost every resident object.
-		IsFailure: func(err error) bool {
-			if err == nil || errors.Is(err, context.Canceled) {
-				return false
-			}
-			return lostBackend(err) || transport.IsFrameError(err)
-		},
-	})
-	l.breaker.Instrument(e.cfg.Metrics, name)
-	if e.cfg.Health != nil {
-		l.tracker = e.cfg.Health.Endpoint(name)
-	}
-	return l
+// healthPeers is the peer group serve lanes register their trackers in:
+// a lane times whole prefills and decode steps, so it is judged only
+// against other lanes.
+const healthPeers = "serve"
+
+func newLane(e *Engine, hs *health.Set, name string, r *runtime.LLMRunner) *lane {
+	return &lane{e: e, name: name, runner: r, wake: make(chan struct{}, 1),
+		tracker: hs.Endpoint(healthPeers, name)}
 }
 
 // run is the production loop: iterate while there is work, sleep until
@@ -88,9 +73,9 @@ func (l *lane) run() {
 			continue
 		}
 		l.maybeProbe()
-		if wait := l.idleWait(); wait > 0 {
-			// Wake on our own: when the breaker's cooldown lapses with work
-			// still queued, and on the health prober's cadence.
+		if wait := l.tracker.Wake(l.e.cfg.Health != nil); wait > 0 {
+			// Wake on our own when a quarantine dwell lapses and on the
+			// health prober's cadence.
 			t := time.NewTimer(wait)
 			select {
 			case <-l.wake:
@@ -110,46 +95,13 @@ func (l *lane) run() {
 	}
 }
 
-// idleWait returns how long an idle lane should sleep before rechecking
-// the queue on its own; 0 means sleep until nudged. Nonzero while this
-// lane's breaker blocks admission and work is waiting — the one state
-// where no future nudge is guaranteed to arrive — and, with health
-// scoring on, while the active prober needs the lane awake on its
-// cadence (probes are what let a Quarantined endpoint earn its way
-// back without real traffic).
-func (l *lane) idleWait() time.Duration {
-	var probeWait time.Duration
-	if l.tracker != nil {
-		probeWait = l.tracker.ProbeWait()
-	}
-	breakerWait := time.Duration(0)
-	if l.breaker.State() != transport.BreakerClosed {
-		l.e.mu.Lock()
-		queued := l.e.queues.depth() > 0
-		l.e.mu.Unlock()
-		if queued {
-			breakerWait = l.breaker.RetryAfter()
-			if breakerWait <= 0 {
-				breakerWait = 10 * time.Millisecond
-			}
-		}
-	}
-	switch {
-	case probeWait > 0 && breakerWait > 0 && probeWait < breakerWait:
-		return probeWait
-	case breakerWait > 0:
-		return breakerWait
-	}
-	return probeWait
-}
-
 // maybeProbe issues one active health probe when the lane is idle and
 // the prober's cadence says one is due. The probe is a transport ping
-// — cheap, stateless, and safe against a quarantined endpoint — whose
+// — cheap, stateless, and safe against a sick endpoint — whose
 // outcome feeds the error side of the score (ping RTT is not exec
 // latency, so the latency EWMA is left alone).
 func (l *lane) maybeProbe() {
-	if l.tracker == nil || len(l.active) > 0 || !l.tracker.ProbeDue() {
+	if l.e.cfg.Health == nil || len(l.active) > 0 || !l.tracker.ProbeDue() {
 		return
 	}
 	p, ok := l.runner.EP.(interface {
@@ -162,10 +114,9 @@ func (l *lane) maybeProbe() {
 	// activity, so a root context bounded by the probe timeout is right.
 	//lint:ignore ctxflow probe is lane-owned, not request-scoped
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	t0 := l.e.clock.Now()
 	_, err := p.PingCtx(ctx)
 	cancel()
-	l.tracker.ObserveProbe(l.e.clock.Now().Sub(t0), err != nil)
+	l.tracker.ObserveProbe(err)
 }
 
 // iterate executes one step boundary; it reports whether any work was
@@ -205,10 +156,7 @@ func (l *lane) iterate() bool {
 // burned (quarantine is the engine's decision, not the backend's
 // failure). Reports whether anything was drained.
 func (l *lane) drainQuarantined() bool {
-	if l.tracker == nil || len(l.active) == 0 {
-		return false
-	}
-	if l.tracker.State() != health.Quarantined {
+	if len(l.active) == 0 || l.tracker.State() != health.Quarantined {
 		return false
 	}
 	for _, ar := range l.active {
@@ -225,14 +173,11 @@ func (l *lane) drainQuarantined() bool {
 	return true
 }
 
-// admissible applies the graded health gate ahead of the binary breaker
-// one: Quarantined admits nothing, Reinstating trials one request at a
-// time, Suspect yields to healthy lanes with room (demotion, not
-// removal — a merely-slow lane still serves overflow).
+// admissible is the lane's one admission gate: Quarantined admits
+// nothing, Reinstating trials one request at a time, Suspect yields to
+// healthy lanes with room (demotion, not removal — a merely-slow lane
+// still serves overflow).
 func (l *lane) admissible() bool {
-	if l.tracker == nil {
-		return true
-	}
 	switch l.tracker.State() {
 	case health.Quarantined:
 		return false
@@ -245,20 +190,12 @@ func (l *lane) admissible() bool {
 }
 
 // admit moves queued requests into the running batch until it is full,
-// running each newcomer's prefill. An open breaker stops admission cold
-// (queued work stays for healthy lanes); once the cooldown lapses the
-// first dequeued request doubles as the half-open probe, carrying the
-// breaker's probe identity so only its prefill outcome settles the
-// probe. Reports whether anything was admitted or retired.
+// running each newcomer's prefill. Health gates every dequeue: a lane
+// that may not admit leaves queued work for healthier lanes. Reports
+// whether anything was admitted or retired.
 func (l *lane) admit() bool {
 	worked := false
-	for len(l.active) < l.e.cfg.MaxBatch {
-		if l.breaker.State() == transport.BreakerOpen && l.breaker.RetryAfter() > 0 {
-			break // cooling down; don't touch the queue
-		}
-		if !l.admissible() {
-			break // health-demoted; queued work stays for healthier lanes
-		}
+	for len(l.active) < l.e.cfg.MaxBatch && l.admissible() {
 		ar := l.e.dequeue()
 		if ar == nil {
 			break
@@ -270,14 +207,6 @@ func (l *lane) admit() bool {
 		if l.retireIfDone(ar) {
 			continue
 		}
-		probe, err := l.breaker.Allow()
-		if err != nil {
-			// Lost the probe-slot race; hand the request back untouched.
-			_, ar.qspan = obs.StartSpan(ar.tctx, "serve.queue")
-			l.e.requeue(l, ar)
-			break
-		}
-		ar.bprobe = probe
 		if !l.prefill(ar) {
 			continue // retired at admission (cancelled/expired/failed/re-queued)
 		}
@@ -304,7 +233,7 @@ func (l *lane) opCtx(parent context.Context) (context.Context, context.CancelFun
 	}
 	timeout := l.e.cfg.OpTimeout
 	if l.e.cfg.Health != nil {
-		timeout = l.e.cfg.Health.OpDeadline(l.e.cfg.HealthOpFloor, timeout)
+		timeout = l.e.cfg.Health.OpDeadline(healthPeers, l.e.cfg.HealthOpFloor, timeout)
 	}
 	if timeout <= 0 {
 		return parent, func() {}
@@ -320,10 +249,8 @@ func (l *lane) prefill(ar *activeReq) bool {
 	s0 := l.e.clock.Now()
 	sess, err := l.runner.NewScopedSessionCtx(ar.tctx, l.e.cfg.Mode, fmt.Sprintf("req%d/", ar.id))
 	if err != nil {
-		l.breaker.Record(err)
-		l.concludeProbe(ar, err)
-		// The scorer sees what the breaker sees: a session that cannot even
-		// be created is a judged failure, not a silent one.
+		// A session that cannot even be created is a judged failure, not
+		// a silent one.
 		l.observe(l.e.clock.Now().Sub(s0), err)
 		l.fail(ar, err)
 		return false
@@ -336,8 +263,6 @@ func (l *lane) prefill(ar *activeReq) bool {
 	first, err := sess.PrefillCtx(opctx, ar.prompt)
 	cancel()
 	pspan.End()
-	l.breaker.Record(err)
-	l.concludeProbe(ar, err)
 	l.observe(l.e.clock.Now().Sub(t0), err)
 	if err != nil {
 		l.fail(ar, err)
@@ -370,7 +295,6 @@ func (l *lane) advance(ar *activeReq) (didStep, stay bool) {
 	cancel()
 	d := l.e.clock.Now().Sub(t0)
 	l.e.stats.recordStep(d)
-	l.breaker.Record(err)
 	l.observe(d, err)
 	if err != nil {
 		l.fail(ar, err)
@@ -384,24 +308,20 @@ func (l *lane) advance(ar *activeReq) (didStep, stay bool) {
 	return true, true
 }
 
-// concludeProbe settles the breaker's half-open probe when this
-// request's admission claimed it; a no-op for ordinary admissions.
-func (l *lane) concludeProbe(ar *activeReq, err error) {
-	ar.bprobe.Conclude(err)
-	ar.bprobe = nil
-}
-
-// observe feeds one op's latency and failure classification to the
-// health tracker. Caller-side cancellation says nothing about the
-// endpoint and is skipped.
+// observe feeds one op's outcome to the lane's tracker and counts it
+// toward the fail-stop trip: BreakerThreshold consecutive failures
+// (health.Failure) quarantine the lane at once for BreakerCooldown,
+// without waiting for the scorer's evidence gate.
 func (l *lane) observe(d time.Duration, err error) {
-	if l.tracker == nil {
+	l.tracker.Observe(d, err)
+	if !health.Failure(err) {
+		l.fails = 0
 		return
 	}
-	if err != nil && errors.Is(err, context.Canceled) {
-		return
+	l.fails++
+	if l.fails >= l.e.cfg.BreakerThreshold {
+		l.tracker.Quarantine(l.e.cfg.BreakerCooldown)
 	}
-	l.tracker.Observe(d, err != nil && (lostBackend(err) || transport.IsFrameError(err)))
 }
 
 // lostBackend classifies errors that mean the backend (not the request)

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -25,7 +26,6 @@ import (
 	"genie/internal/obs"
 	"genie/internal/quant"
 	"genie/internal/runtime"
-	"genie/internal/transport"
 )
 
 // Engine lifecycle errors.
@@ -93,20 +93,21 @@ type Config struct {
 	// next step boundary instead of wedging the lane forever. 0 = no
 	// per-op bound (the request deadline still applies).
 	OpTimeout time.Duration
-	// BreakerThreshold and BreakerCooldown parameterize each lane's
-	// circuit breaker (zero values take transport's defaults: 3
-	// consecutive failures, 1s cooldown).
+	// BreakerThreshold and BreakerCooldown set each lane's fail-stop
+	// trip: that many consecutive failures (health.Failure) quarantine
+	// the lane at once, for that dwell (defaults 3 failures, 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Health, when set, is the shared fail-slow scorer (DESIGN.md §13).
-	// Lanes feed it per-op latency and failure samples, demote Suspect
-	// endpoints (admitting work only when healthy capacity is
-	// saturated), drain Quarantined ones through the failover re-queue
-	// path, trial Reinstating ones a request at a time, issue active
-	// probes while idle, and bound each remote op with an adaptive
-	// deadline derived from healthy-peer latency — converting fail-slow
-	// into the fail-stop the breaker/retry machinery already handles.
-	// Nil disables the layer entirely (binary breaker behavior only).
+	// Lanes register in it as one peer group and feed it per-op latency
+	// and failure samples; it demotes Suspect lanes (admitting work only
+	// when healthy capacity is saturated), drains Quarantined ones
+	// through the failover re-queue path, and trials Reinstating ones a
+	// request at a time. Lanes also issue active probes while idle and
+	// bound each remote op with an adaptive deadline derived from
+	// healthy-peer latency, converting fail-slow into fail-stop. Nil
+	// keeps fail-stop only: lanes get trackers from a private set that
+	// never grades latency or error rate, so only the trip quarantines.
 	Health *health.Set
 	// HealthOpFloor is the lower bound of the adaptive per-op deadline
 	// derived from Health — headroom for legitimately slow ops like
@@ -155,6 +156,12 @@ func (c *Config) fillDefaults() {
 	}
 	if c.HealthOpFloor <= 0 {
 		c.HealthOpFloor = 50 * time.Millisecond
+	}
+	if c.BreakerThreshold <= 0 {
+		c.BreakerThreshold = 3
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = time.Second
 	}
 }
 
@@ -232,9 +239,6 @@ type activeReq struct {
 	// retries counts backend-loss re-queues consumed against the engine's
 	// RetryBudget.
 	retries int
-	// bprobe is the breaker probe identity when this request's admission
-	// doubled as the half-open probe; its prefill outcome concludes it.
-	bprobe *transport.Probe
 	// replayed is how many leading tokens were already delivered before a
 	// re-queue; the deterministic regeneration on the new lane re-emits
 	// nothing below this index.
@@ -305,6 +309,18 @@ func NewEngine(cfg Config, backends []Backend) (*Engine, error) {
 		drained:      make(chan struct{}),
 	}
 	e.stats = newCollector(e.clock, cfg.Metrics)
+	hs := cfg.Health
+	if hs == nil {
+		// Fail-stop only. MinSamples out of reach: the scorer never
+		// judges latency or error rate, and the lanes' trip is the only
+		// way in. One trial success reinstates a lane.
+		hs = health.NewSet(health.Config{
+			MinSamples:      math.MaxInt,
+			ReinstateStreak: 1,
+			Now:             e.clock.Now,
+			Metrics:         cfg.Metrics,
+		})
+	}
 	if backends[0].Runner != nil && backends[0].Runner.Model != nil {
 		e.vocab = backends[0].Runner.Model.Cfg.Vocab
 		e.maxSeq = backends[0].Runner.Model.Cfg.MaxSeq
@@ -329,7 +345,7 @@ func NewEngine(cfg Config, backends []Backend) (*Engine, error) {
 				return nil, fmt.Errorf("serve: install weights on %s: %w", name, err)
 			}
 		}
-		e.lanes = append(e.lanes, newLane(e, name, b.Runner))
+		e.lanes = append(e.lanes, newLane(e, hs, name, b.Runner))
 	}
 	return e, nil
 }
@@ -501,7 +517,7 @@ func (e *Engine) nudge() {
 }
 
 // requeue returns a request to the admission queue after its lane lost
-// the backend (or refused it at the breaker). Re-queued work bypasses
+// the backend or was quarantined. Re-queued work bypasses
 // the MaxQueue bound — it was already admitted once — and wakes every
 // lane except the one that failed it, so a healthy lane picks it up
 // without the failed lane spinning on its own rejection.
@@ -522,47 +538,31 @@ func (e *Engine) requeue(from *lane, ar *activeReq) {
 }
 
 // anyHealthyBackend reports whether at least one lane can take work:
-// breaker closed and, when health scoring is on, not quarantined (the
-// /healthz degraded signal).
+// not quarantined (the /healthz availability signal).
 func (e *Engine) anyHealthyBackend() bool {
-	for _, l := range e.lanes {
-		if l.breaker.State() != transport.BreakerClosed {
-			continue
-		}
-		if l.tracker != nil && l.tracker.State() == health.Quarantined {
-			continue
-		}
-		return true
-	}
-	return false
+	return len(e.quarantinedLanes()) < len(e.lanes)
 }
 
-// quarantinedLanes lists lanes currently under health quarantine (the
-// /healthz degraded detail). Empty without health scoring.
+// quarantinedLanes lists lanes currently quarantined (the /healthz
+// degraded detail).
 func (e *Engine) quarantinedLanes() []string {
 	var out []string
 	for _, l := range e.lanes {
-		if l.tracker != nil && l.tracker.State() == health.Quarantined {
+		if l.tracker.State() == health.Quarantined {
 			out = append(out, l.name)
 		}
 	}
 	return out
 }
 
-// healthyRoomElsewhere reports whether any other lane is Healthy (full
-// grade, breaker closed) with decode-batch room — the signal a Suspect
-// lane uses to demote itself: it admits work only when healthy
-// capacity is saturated, so a merely-slow lane stops poisoning TTFT
-// without the engine losing its capacity outright.
+// healthyRoomElsewhere reports whether any other lane is Healthy with
+// decode-batch room — the signal a Suspect lane uses to demote itself:
+// it admits work only when healthy capacity is saturated, so a
+// merely-slow lane stops poisoning TTFT without the engine losing its
+// capacity outright.
 func (e *Engine) healthyRoomElsewhere(me *lane) bool {
 	for _, l := range e.lanes {
-		if l == me || l.tracker == nil {
-			continue
-		}
-		if l.tracker.State() != health.Healthy {
-			continue
-		}
-		if l.breaker.State() != transport.BreakerClosed {
+		if l == me || l.tracker.State() != health.Healthy {
 			continue
 		}
 		if int(l.activeN.Load()) < e.cfg.MaxBatch {
@@ -645,19 +645,14 @@ func (e *Engine) Stats() Stats {
 	st.Backends = make(map[string]BackendHealth, len(e.lanes))
 	for _, l := range e.lanes {
 		st.Active += int(l.activeN.Load())
-		state := l.breaker.State()
-		bh := BackendHealth{
-			Healthy:  state == transport.BreakerClosed,
-			Breaker:  state.String(),
+		state := l.tracker.State()
+		st.Backends[l.name] = BackendHealth{
+			Healthy:  state != health.Quarantined,
 			Failures: l.failures.Load(),
 			Requeued: l.requeues.Load(),
+			Health:   state.String(),
+			Score:    l.tracker.Score(),
 		}
-		if l.tracker != nil {
-			bh.Health = l.tracker.State().String()
-			bh.Score = l.tracker.Score()
-			bh.Healthy = bh.Healthy && l.tracker.State() != health.Quarantined
-		}
-		st.Backends[l.name] = bh
 	}
 	if e.cfg.Health != nil {
 		st.Health = e.cfg.Health.Snapshot()
